@@ -222,6 +222,29 @@ func main() {
 		}
 	}
 
+	// Server telemetry is read over the load window only, like the
+	// client's own latencies: scrape right before the run and again just
+	// before the audit (after any drill hook), so the audit's glass reads
+	// never count on the server side.
+	var window []obs.PromSample
+	before, serr := scrapeMetrics(api, g, cl)
+	drill := lc.BeforeVerify
+	lc.BeforeVerify = func() {
+		if drill != nil {
+			drill()
+		}
+		if serr != nil {
+			return // no baseline, so no window to report
+		}
+		cur := cl
+		if proxy != nil {
+			cur = proxy.cur()
+		}
+		var after []obs.PromSample
+		if after, serr = scrapeMetrics(api, g, cur); serr == nil {
+			window = obs.DeltaProm(before, after)
+		}
+	}
 	rep := gateway.RunLoad(api, lc)
 	if proxy != nil {
 		// The audit above already ran against the successor (the proxy
@@ -231,12 +254,11 @@ func main() {
 		old.Close()
 	}
 	fmt.Print(rep)
-	samples, serr := scrapeMetrics(api, g, cl)
 	if serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics scrape: %v\n", serr)
 	} else {
-		printServerPercentiles(samples, rep)
-		printLatencyBreakdown(samples)
+		printServerPercentiles(window, rep)
+		printLatencyBreakdown(window)
 	}
 	if g != nil && len(faultRules) > 0 {
 		fmt.Printf("faults: %d injected across %d rule(s)\n", g.Faults().Total(), len(faultRules))
@@ -274,71 +296,84 @@ func scrapeMetrics(api gateway.API, g *gateway.Gateway, cl *cluster.Cluster) ([]
 	return obs.ParseProm(&buf)
 }
 
-// printServerPercentiles prints the gateway's own request p99 (derived
-// from its histogram buckets) next to the client-observed p99, so time
-// spent inside the gateway is separable from transport and retry
-// overhead.
-func printServerPercentiles(samples []obs.PromSample, rep gateway.LoadReport) {
-	sums := rep.Latencies.Summaries()
-	fmt.Println("latency p99, server vs client:")
+// printServerPercentiles prints the gateway's own request p99 next to
+// the client-observed p99, both over the load window and both bucket
+// estimates in the same scheme, so time spent inside the gateway is
+// separable from transport and retry overhead.
+func printServerPercentiles(window []obs.PromSample, rep gateway.LoadReport) {
+	fmt.Println("latency p99 over the load window, server vs client:")
 	for _, class := range []string{"put", "get", "delete"} {
-		cs, ok := sums[class]
-		if !ok || cs.N == 0 {
+		cs := rep.Latencies[class].Snapshot()
+		if cs.Count == 0 {
 			continue
 		}
 		server := "-"
-		if sp, ok := obs.HistQuantile(samples, "silica_gateway_request_seconds",
+		if sp, ok := obs.HistQuantile(window, "silica_gateway_request_seconds",
 			map[string]string{"class": class}, 0.99); ok {
 			server = fmt.Sprintf("%.1fms", 1000*sp)
 		}
-		fmt.Printf("  %-7s server %8s   client %7.1fms\n", class, server, 1000*cs.P99)
+		fmt.Printf("  %-7s server %8s   client %7.1fms\n", class, server, 1000*cs.Quantile(0.99))
 	}
 }
 
-// histMean returns a histogram's mean (sum/count) from its exposition
-// samples, or false when it has no observations.
-func histMean(samples []obs.PromSample, name string, want map[string]string) (float64, bool) {
-	sum, ok1 := obs.FindSample(samples, name+"_sum", want)
-	cnt, ok2 := obs.FindSample(samples, name+"_count", want)
-	if !ok1 || !ok2 || cnt.Value == 0 {
-		return 0, false
-	}
-	return sum.Value / cnt.Value, true
+// sampleValue returns one series' value, 0 when absent.
+func sampleValue(samples []obs.PromSample, name string, want map[string]string) float64 {
+	s, _ := obs.FindSample(samples, name, want)
+	return s.Value
 }
 
-// printLatencyBreakdown splits mean request latency into its queue,
-// mechanical, and codec/other shares using the gateway's queue-wait
-// histogram and the backend's mechanical spans. With the direct
-// backend the mechanical share is zero by construction; under
-// -backend twin it dominates, which is the whole point of the twin.
-func printLatencyBreakdown(samples []obs.PromSample) {
-	classOps := []struct{ class, op string }{{"get", "read"}, {"put", "burn"}}
+// windowMean is a histogram's mean over the window, 0 when empty.
+func windowMean(window []obs.PromSample, name string, want map[string]string) float64 {
+	n := sampleValue(window, name+"_count", want)
+	if n <= 0 {
+		return 0
+	}
+	return sampleValue(window, name+"_sum", want) / n
+}
+
+// printLatencyBreakdown splits mean server-side latency over the load
+// window into queue wait, mechanical time, and codec/other. Queue wait
+// and silica_gateway_request_seconds (timed from worker pickup) are
+// disjoint, so total = queue + request. The mechanical share is the
+// backend time charged inside the row's own work, spread over its
+// count: foreground reads for gets, burns for the flush pass (puts only
+// stage, so they carry none). codec/other = request - mechanical and is
+// printed as is: a negative value means mechanical charges overlapped
+// inside one pass. With the direct backend the mechanical share is zero
+// by construction; under -backend twin it dominates.
+func printLatencyBreakdown(window []obs.PromSample) {
+	rows := []struct {
+		name, hist string
+		want       map[string]string // nil: the unlabelled, unqueued flush histogram
+		op         string            // backend op charged inside the row's work
+	}{
+		{"get", "silica_gateway_request_seconds", map[string]string{"class": "get"}, "read"},
+		{"put", "silica_gateway_request_seconds", map[string]string{"class": "put"}, ""},
+		{"flush", "silica_gateway_flush_seconds", nil, "burn"},
+	}
 	shown := false
-	for _, co := range classOps {
-		total, ok := histMean(samples, "silica_gateway_request_seconds",
-			map[string]string{"class": co.class})
-		if !ok {
+	for _, r := range rows {
+		n := sampleValue(window, r.hist+"_count", r.want)
+		if n <= 0 {
 			continue
 		}
-		queue, _ := histMean(samples, "silica_gateway_queue_wait_seconds",
-			map[string]string{"class": co.class})
-		mech, _ := histMean(samples, "silica_backend_mech_seconds",
-			map[string]string{"op": co.op})
-		codec := total - queue - mech
-		if codec < 0 {
-			// Burns are batched: one mechanical burn amortizes over many
-			// puts, so the per-op mean can exceed the per-request mean.
-			codec = 0
+		request := windowMean(window, r.hist, r.want)
+		queue, mech := 0.0, 0.0
+		if r.want != nil {
+			queue = windowMean(window, "silica_gateway_queue_wait_seconds", r.want)
+		}
+		if r.op != "" {
+			mech = sampleValue(window, "silica_backend_mech_seconds_sum", map[string]string{"op": r.op}) / n
 		}
 		if !shown {
-			fmt.Println("latency breakdown (mean, server side):")
+			fmt.Println("latency breakdown (mean over the load window, server side):")
 			shown = true
 		}
-		fmt.Printf("  %-4s total %8.2fms = queue %8.2fms + mechanical %8.2fms + codec/other %8.2fms\n",
-			co.class, 1000*total, 1000*queue, 1000*mech, 1000*codec)
+		fmt.Printf("  %-5s total %8.2fms = queue %8.2fms + mechanical %8.2fms + codec/other %8.2fms\n",
+			r.name, 1000*(queue+request), 1000*queue, 1000*mech, 1000*(request-mech))
 	}
-	if v, ok := obs.FindSample(samples, "silica_backend_virtual_seconds", nil); ok && v.Value > 0 {
-		fmt.Printf("  twin: %.1f virtual seconds simulated\n", v.Value)
+	if v := sampleValue(window, "silica_backend_virtual_seconds", nil); v > 0 {
+		fmt.Printf("  twin: %.1f virtual seconds simulated\n", v)
 	}
 }
 

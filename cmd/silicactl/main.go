@@ -147,7 +147,9 @@ func metricsCmd(args []string) {
 
 // top polls /metrics and renders the whole stack's telemetry as a
 // compact table: per-class queue state and request percentiles, staging
-// occupancy, codec engine load, and repair activity.
+// occupancy, codec engine load, and repair activity. Percentiles cover
+// the refresh interval (the first refresh: since daemon start); counts
+// are totals.
 func top(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:7070", "silicad base URL")
@@ -155,6 +157,7 @@ func top(args []string) {
 	iters := fs.Int("n", 0, "refresh count (0 = until interrupted)")
 	fs.Parse(args)
 	c := gateway.NewClient(*url)
+	var prev []obs.PromSample
 	for i := 0; *iters == 0 || i < *iters; i++ {
 		if i > 0 {
 			time.Sleep(*interval)
@@ -166,11 +169,14 @@ func top(args []string) {
 		if berr != nil {
 			st = backend.Status{} // older daemons have no /v1/backend
 		}
-		printTop(*url, samples, st)
+		printTop(*url, samples, obs.DeltaProm(prev, samples), st)
+		prev = samples
 	}
 }
 
-func printTop(url string, samples []obs.PromSample, bst backend.Status) {
+// printTop renders one refresh: totals and gauges from samples,
+// percentiles from window (the delta since the previous refresh).
+func printTop(url string, samples, window []obs.PromSample, bst backend.Status) {
 	val := func(name string, labels map[string]string) float64 {
 		s, _ := obs.FindSample(samples, name, labels)
 		return s.Value
@@ -181,8 +187,8 @@ func printTop(url string, samples []obs.PromSample, bst backend.Status) {
 	for _, class := range []string{"put", "get", "delete"} {
 		l := obs.L("class", class)
 		lm := map[string]string{l.Key: l.Value}
-		p50, _ := obs.HistQuantile(samples, "silica_gateway_request_seconds", lm, 0.50)
-		p99, _ := obs.HistQuantile(samples, "silica_gateway_request_seconds", lm, 0.99)
+		p50, _ := obs.HistQuantile(window, "silica_gateway_request_seconds", lm, 0.50)
+		p99, _ := obs.HistQuantile(window, "silica_gateway_request_seconds", lm, 0.99)
 		fmt.Printf("%-7s %6.0f %5.0f %10.0f %10.0f %10.0f %10s %10s\n",
 			class,
 			val("silica_gateway_queue_depth", lm),
@@ -192,14 +198,14 @@ func printTop(url string, samples []obs.PromSample, bst backend.Status) {
 			val("silica_gateway_completed_total", lm),
 			fmtSeconds(p50), fmtSeconds(p99))
 	}
-	flushP99, _ := obs.HistQuantile(samples, "silica_gateway_flush_seconds", nil, 0.99)
+	flushP99, _ := obs.HistQuantile(window, "silica_gateway_flush_seconds", nil, 0.99)
 	fmt.Printf("\nstaging  %s used / %s cap, peak %s, %0.f file(s) pending\n",
 		fmtBytes(val("silica_staging_used_bytes", nil)),
 		fmtBytes(val("silica_staging_capacity_bytes", nil)),
 		fmtBytes(val("silica_staging_peak_bytes", nil)),
 		val("silica_staging_pending_files", nil))
-	encP50, _ := obs.HistQuantile(samples, "silica_codec_encode_seconds", nil, 0.50)
-	decP50, _ := obs.HistQuantile(samples, "silica_codec_decode_seconds", nil, 0.50)
+	encP50, _ := obs.HistQuantile(window, "silica_codec_encode_seconds", nil, 0.50)
+	decP50, _ := obs.HistQuantile(window, "silica_codec_decode_seconds", nil, 0.50)
 	fmt.Printf("codec    %.0f/%.0f workers busy, %.0f jobs (%.0f token misses)\n",
 		val("silica_codec_busy_workers", nil),
 		val("silica_codec_workers", nil),

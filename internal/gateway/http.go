@@ -13,10 +13,10 @@ import (
 	"silica/internal/faults"
 	"silica/internal/media"
 	"silica/internal/metadata"
+	"silica/internal/obs"
 	"silica/internal/repair"
 	"silica/internal/service"
 	"silica/internal/staging"
-	"silica/internal/stats"
 )
 
 // The HTTP/JSON API:
@@ -380,13 +380,13 @@ func (g *Gateway) handleCost(w http.ResponseWriter, r *http.Request) {
 
 // StatsSnapshot is the /v1/stats payload.
 type StatsSnapshot struct {
-	Uptime    float64                  `json:"uptime_seconds"`
-	Counters  Counters                 `json:"counters"`
-	Latencies map[string]stats.Summary `json:"latencies"`
-	Staging   staging.Usage            `json:"staging"`
-	Service   service.Stats            `json:"service"`
-	Health    repair.Snapshot          `json:"health"`
-	Repair    repair.ManagerStats      `json:"repair"`
+	Uptime    float64                `json:"uptime_seconds"`
+	Counters  Counters               `json:"counters"`
+	Latencies map[string]obs.Summary `json:"latencies"`
+	Staging   staging.Usage          `json:"staging"`
+	Service   service.Stats          `json:"service"`
+	Health    repair.Snapshot        `json:"health"`
+	Repair    repair.ManagerStats    `json:"repair"`
 }
 
 // Snapshot assembles the current stats.
@@ -394,7 +394,7 @@ func (g *Gateway) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
 		Uptime:    time.Since(g.start).Seconds(),
 		Counters:  g.Counters(),
-		Latencies: g.lat.Summaries(),
+		Latencies: g.gm.latencies(),
 		Staging:   g.svc.StagingUsage(),
 		Service:   g.svc.Stats(),
 		Health:    g.HealthPlatters(),

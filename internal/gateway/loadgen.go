@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"silica/internal/metadata"
+	"silica/internal/obs"
 	"silica/internal/sim"
 	"silica/internal/stats"
 )
@@ -68,8 +69,13 @@ type LoadReport struct {
 	Lost                int64 // committed objects unreadable at verification
 	Corrupted           int64 // committed objects with byte mismatches
 	Elapsed             time.Duration
-	Latencies           *stats.Recorder // classes: put, get, delete
+	// Latencies holds client-observed seconds per class (put, get,
+	// delete) in the same bucket scheme the gateway's histograms use.
+	Latencies map[string]*obs.Histogram
 }
+
+// loadClasses are the request classes a load run times.
+var loadClasses = []string{"put", "get", "delete"}
 
 // String renders the report.
 func (r LoadReport) String() string {
@@ -79,7 +85,17 @@ func (r LoadReport) String() string {
 		float64(r.Puts+r.Gets+r.Deletes)/r.Elapsed.Seconds())
 	fmt.Fprintf(&b, "load: %d rejected (backpressure), %d dropped, %d errors, %d lost, %d corrupted\n",
 		r.Rejected, r.Dropped, r.Errors, r.Lost, r.Corrupted)
-	b.WriteString(r.Latencies.Table())
+	fmt.Fprintf(&b, "%-10s %8s %10s %10s %10s %10s %10s\n",
+		"class", "n", "mean", "p50", "p99", "p99.9", "max")
+	for _, c := range loadClasses {
+		s := r.Latencies[c].Snapshot().Summary()
+		if s.N == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%-10s %8d %10s %10s %10s %10s %10s\n",
+			c, s.N, stats.FormatDuration(s.Mean), stats.FormatDuration(s.P50),
+			stats.FormatDuration(s.P99), stats.FormatDuration(s.P999), stats.FormatDuration(s.Max))
+	}
 	return b.String()
 }
 
@@ -112,7 +128,10 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 	if cfg.Clients < 1 {
 		cfg.Clients = 1
 	}
-	report := LoadReport{Latencies: stats.NewRecorder()}
+	report := LoadReport{Latencies: make(map[string]*obs.Histogram, len(loadClasses))}
+	for _, c := range loadClasses {
+		report.Latencies[c] = obs.NewHistogram(obs.DurationBuckets())
+	}
 	var puts, gets, deletes, rejected, dropped, errs atomic.Int64
 	root := sim.NewRNG(cfg.Seed).Fork("loadgen")
 	start := time.Now()
@@ -173,7 +192,7 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 
 // step runs one operation of the client's mix.
 func (cl *loadClient) step(api API, cfg LoadConfig,
-	puts, gets, deletes, rejected, dropped, errs *atomic.Int64, lat *stats.Recorder) {
+	puts, gets, deletes, rejected, dropped, errs *atomic.Int64, lat map[string]*obs.Histogram) {
 	roll := cl.rng.Float64()
 	switch {
 	case roll < cfg.ReadFraction && len(cl.committed) > 0:
@@ -184,7 +203,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 			errs.Add(1)
 			return
 		}
-		lat.Observe("get", time.Since(t0).Seconds())
+		lat["get"].Observe(time.Since(t0).Seconds())
 		gets.Add(1)
 		if !bytes.Equal(got, payload(cl.seeds[name], cfg.ObjectBytes)) {
 			// Surface corruption immediately as an error; the final
@@ -203,7 +222,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 				return
 			}
 		}
-		lat.Observe("delete", time.Since(t0).Seconds())
+		lat["delete"].Observe(time.Since(t0).Seconds())
 		deletes.Add(1)
 		cl.committed = append(cl.committed[:i], cl.committed[i+1:]...)
 		delete(cl.seeds, name)
@@ -216,7 +235,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 			t0 := time.Now()
 			_, err := api.Put("load", name, data)
 			if err == nil {
-				lat.Observe("put", time.Since(t0).Seconds())
+				lat["put"].Observe(time.Since(t0).Seconds())
 				puts.Add(1)
 				cl.committed = append(cl.committed, name)
 				cl.seeds[name] = seed

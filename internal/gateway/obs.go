@@ -41,7 +41,8 @@ func newGatewayMetrics(reg *obs.Registry, g *Gateway) gatewayMetrics {
 			canceled: reg.Counter("silica_gateway_canceled_total",
 				"Requests abandoned by their caller's context before or while queued.", c),
 			seconds: reg.Histogram("silica_gateway_request_seconds",
-				"Queue wait plus service time per request.", obs.DurationBuckets(), c),
+				"Service time per request, from worker pickup to completion; queue wait is silica_gateway_queue_wait_seconds.",
+				obs.DurationBuckets(), c),
 			queueWait: reg.Histogram("silica_gateway_queue_wait_seconds",
 				"Wait between admission and worker pickup — the queueing share of request latency.",
 				obs.DurationBuckets(), c),
@@ -63,6 +64,23 @@ func newGatewayMetrics(reg *obs.Registry, g *Gateway) gatewayMetrics {
 		readDepth.Set(float64(len(g.readq)))
 	})
 	return gm
+}
+
+// latencies summarizes every request class and the flush pass that has
+// observations, from the same histograms /metrics serves: the
+// /v1/stats latency view.
+func (gm *gatewayMetrics) latencies() map[string]obs.Summary {
+	out := make(map[string]obs.Summary)
+	add := func(class string, h *obs.Histogram) {
+		if s := h.Snapshot(); s.Count > 0 {
+			out[class] = s.Summary()
+		}
+	}
+	for k := range gm.cls {
+		add(opKind(k).class(), gm.cls[k].seconds)
+	}
+	add("flush", gm.flushSeconds)
+	return out
 }
 
 // Metrics exposes the gateway's registry — the same one wired through

@@ -214,3 +214,83 @@ func TestStatsJSONShape(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsAndCountersReadObs: /v1/stats latencies and Counters() are
+// views of the obs instruments behind /metrics, not a second count:
+// after a mixed run and a flush, each class's latency N equals its
+// completed counter, the flush N equals the flush counter, and every
+// Counters field equals its per-class obs counters summed.
+func TestStatsAndCountersReadObs(t *testing.T) {
+	cfg := testConfig()
+	cfg.DisableRepair = true
+	g := newTestGateway(t, cfg)
+	for i := 0; i < 12; i++ {
+		name := "m" + string(rune('a'+i))
+		if _, err := g.Put("acct", name, randBytes(uint64(100+i), 800)); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if i%3 == 0 {
+			if _, err := g.Get("acct", name); err != nil {
+				t.Fatalf("get: %v", err)
+			}
+		}
+		if i%4 == 1 {
+			if err := g.Delete("acct", name); err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+		}
+	}
+	if _, err := g.Get("acct", "missing"); err == nil {
+		t.Fatal("get of a missing object succeeded")
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(name string, want map[string]string) int64 {
+		var n int64
+		for _, s := range samples {
+			if s.Name == name && (want == nil || s.Labels["class"] == want["class"]) {
+				n += int64(s.Value)
+			}
+		}
+		return n
+	}
+	for _, class := range []string{"put", "get", "delete"} {
+		want := sum("silica_gateway_completed_total", map[string]string{"class": class})
+		if want == 0 {
+			t.Fatalf("no %s requests completed", class)
+		}
+		if got := int64(st.Latencies[class].N); got != want {
+			t.Errorf("latencies[%s].N = %d, silica_gateway_completed_total = %d", class, got, want)
+		}
+	}
+	if got, want := int64(st.Latencies["flush"].N), sum("silica_gateway_flushes_total", nil); got != want || want == 0 {
+		t.Errorf("latencies[flush].N = %d, silica_gateway_flushes_total = %d", got, want)
+	}
+
+	want := Counters{
+		Accepted:  sum("silica_gateway_admitted_total", nil),
+		Rejected:  sum("silica_gateway_rejected_total", nil),
+		Completed: sum("silica_gateway_completed_total", nil),
+		Canceled:  sum("silica_gateway_canceled_total", nil),
+		Flushes:   sum("silica_gateway_flushes_total", nil),
+	}
+	if got := g.Counters(); got != want {
+		t.Errorf("Counters() = %+v, summed obs counters = %+v", got, want)
+	}
+	if st.Counters != want {
+		t.Errorf("/v1/stats counters = %+v, summed obs counters = %+v", st.Counters, want)
+	}
+}

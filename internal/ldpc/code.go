@@ -368,35 +368,6 @@ func (c *Code) encodeFromWords(msgWords []uint64, cw []uint8) {
 	}
 }
 
-// EncodeIntoReference is the original bit-serial encoder, retained as
-// the ground truth the word-packed fast path is property-tested against.
-func (c *Code) EncodeIntoReference(msg, cw []uint8) {
-	if len(msg) != c.K {
-		panic(fmt.Sprintf("ldpc: message length %d, want %d", len(msg), c.K))
-	}
-	if len(cw) != c.N {
-		panic(fmt.Sprintf("ldpc: codeword buffer length %d, want %d", len(cw), c.N))
-	}
-	for i, pos := range c.dataPos {
-		cw[pos] = msg[i] & 1
-	}
-	for i, row := range c.encRows {
-		var parity uint8
-		for w, word := range row {
-			if word == 0 {
-				continue
-			}
-			base := w * 64
-			for word != 0 {
-				b := base + bits.TrailingZeros64(word)
-				parity ^= msg[b] & 1
-				word &= word - 1
-			}
-		}
-		cw[c.parityPos[i]] = parity
-	}
-}
-
 // Extract returns the K message bits embedded in an N-bit codeword.
 func (c *Code) Extract(cw []uint8) []uint8 {
 	msg := make([]uint8, c.K)

@@ -44,7 +44,7 @@ func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
 // LogBuckets returns n log-spaced bucket bounds starting at min and
 // growing by factor: the fixed-bucket scheme every obs histogram uses
 // (exact quantiles stay in stats.Sample; obs trades exactness for a
-// lock-free hot path).
+// lock-free hot path and bounded memory).
 func LogBuckets(min, factor float64, n int) []float64 {
 	if min <= 0 || factor <= 1 || n < 1 {
 		panic("obs: LogBuckets needs min > 0, factor > 1, n >= 1")
@@ -59,7 +59,9 @@ func LogBuckets(min, factor float64, n int) []float64 {
 }
 
 // DurationBuckets spans 1µs to ~67s at ×2 per bucket: wide enough for
-// gateway microsecond latencies and multi-second flushes alike.
+// gateway microsecond latencies and multi-second flushes alike. A
+// quantile estimate lies in the same bucket as the true value, so above
+// 1µs it is within 2x of it; values above ~67s clamp to the last bound.
 func DurationBuckets() []float64 { return LogBuckets(1e-6, 2, 27) }
 
 // MarginBuckets spans LDPC decode margins (0..1) at ×1.5 from 0.01.
@@ -173,4 +175,51 @@ func (s HistSnapshot) Mean() float64 {
 		return 0
 	}
 	return s.Sum / float64(s.Count)
+}
+
+// Max reports the upper bound of the highest occupied bucket (the last
+// finite bound when the overflow bucket is occupied), or 0 when empty.
+// With factor-2 buckets the true maximum lies in (Max/2, Max], unless
+// it overflowed the last bound.
+func (s HistSnapshot) Max() float64 {
+	for i := len(s.Counts) - 1; i >= 0; i-- {
+		if s.Counts[i] == 0 {
+			continue
+		}
+		if i == len(s.Bounds) {
+			i--
+		}
+		if i < 0 {
+			return 0
+		}
+		return s.Bounds[i]
+	}
+	return 0
+}
+
+// Summary condenses one latency histogram for reports: the serving
+// layer's counterpart of the paper's time-to-first-byte percentiles
+// (§7.2), as served in /v1/stats.
+type Summary struct {
+	N    int
+	Mean float64
+	P50  float64
+	P90  float64
+	P99  float64
+	P999 float64
+	Max  float64
+}
+
+// Summary computes the snapshot's report summary. Percentiles are
+// bucket estimates (see Quantile); Mean is exact.
+func (s HistSnapshot) Summary() Summary {
+	return Summary{
+		N:    int(s.Count),
+		Mean: s.Mean(),
+		P50:  s.Quantile(0.5),
+		P90:  s.Quantile(0.9),
+		P99:  s.Quantile(0.99),
+		P999: s.Quantile(0.999),
+		Max:  s.Max(),
+	}
 }

@@ -63,7 +63,6 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 				return nil, fmt.Errorf("service: %v v%d staged but not in tier", key, v.Version)
 			}
 			ct = append([]byte(nil), f.Data...)
-			s.addStats(func(st *Stats) { st.StagedReads++ })
 			s.om.readsStaged.Inc()
 		case metadata.Durable:
 			decode := obs.StartSpan(ctx, "decode")
@@ -72,7 +71,6 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 			if err != nil {
 				return nil, err
 			}
-			s.addStats(func(st *Stats) { st.DurableReads++ })
 			s.om.readsDurable.Inc()
 		default:
 			return nil, fmt.Errorf("service: %v in unexpected state %v", key, v.State)
@@ -144,7 +142,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 		if err != nil {
 			return nil, err
 		}
-		s.addStats(func(st *Stats) { st.PlatterRecovers++ })
 		s.om.recSet.Inc()
 		pi.rec.ReportTier(repair.TierSet)
 		return payload, nil
@@ -157,7 +154,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	sp := obs.StartSpan(ctx, "recover_sector")
 	if payload, ok := s.repairWithinTrack(pi, phys, sPos, rng); ok {
 		sp.End()
-		s.addStats(func(st *Stats) { st.SectorRepairs++ })
 		s.om.recSector.Inc()
 		pi.rec.ReportTier(repair.TierSector)
 		return payload, nil
@@ -167,7 +163,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	sp = obs.StartSpan(ctx, "recover_track")
 	if payload, ok := s.rebuildTrackSector(pi, infoTrack, sPos, rng); ok {
 		sp.End()
-		s.addStats(func(st *Stats) { st.TrackRebuilds++ })
 		s.om.recTrack.Inc()
 		pi.rec.ReportTier(repair.TierTrack)
 		return payload, nil

@@ -119,7 +119,7 @@ type Stats struct {
 	PlattersWritten    int
 	PlattersFaulted    int
 	SectorsWritten     int
-	SectorRepairs      int // within-track NC repairs during reads/verify
+	SectorRepairs      int // within-track NC repairs during reads
 	TrackRebuilds      int // large-group NC track reconstructions
 	PlatterRecovers    int // cross-platter NC reconstructions
 	VerifyFailures     int // sectors that failed verification decode
@@ -351,6 +351,13 @@ func (s *Service) Stats() Stats {
 	s.statsMu.Lock()
 	st := s.stats
 	s.statsMu.Unlock()
+	// Read-path outcomes are counted once, in the obs counters behind
+	// /metrics.
+	st.StagedReads = int(s.om.readsStaged.Value())
+	st.DurableReads = int(s.om.readsDurable.Value())
+	st.SectorRepairs = int(s.om.recSector.Value())
+	st.TrackRebuilds = int(s.om.recTrack.Value())
+	st.PlatterRecovers = int(s.om.recSet.Value())
 	st.Files = s.meta.Files()
 	st.HealthTransitions = s.health.TransitionTotal()
 	st.DegradedSets = s.DegradedSets()

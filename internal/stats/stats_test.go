@@ -257,3 +257,22 @@ func TestFormatDuration(t *testing.T) {
 		}
 	}
 }
+
+func TestQuantileSingleAndEndpoints(t *testing.T) {
+	s := NewSample()
+	if s.Quantile(0) != 0 || s.Quantile(1) != 0 {
+		t.Fatal("empty sample endpoints must be 0")
+	}
+	s.Add(-2.5)
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := s.Quantile(q); got != -2.5 {
+			t.Fatalf("Quantile(%v) = %v on single obs, want -2.5", q, got)
+		}
+	}
+	// Out-of-range q clamps to the endpoints.
+	s.Add(4)
+	if s.Quantile(-0.5) != -2.5 || s.Quantile(1.5) != 4 {
+		t.Fatalf("out-of-range q must clamp: q<0 -> %v, q>1 -> %v",
+			s.Quantile(-0.5), s.Quantile(1.5))
+	}
+}
